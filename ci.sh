@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build+test, formatting, lints, the audited
+# CI gate: tier-1 build+test, every workspace test in release,
+# formatting, workspace-wide lints, the audited
 # conformance leg, a sweep determinism smoke test (SNOC_THREADS must
 # not change a repro binary's stdout), a partitioned-stepper smoke
 # (SNOC_SHARDS=4 must match the serial stepper byte for byte), a
@@ -22,11 +23,14 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
+echo "== workspace tests: every crate's unit and integration tests (release) =="
+cargo test --workspace --release -q
+
 echo "== formatting =="
 cargo fmt --all -- --check
 
 echo "== lints: clippy, warnings are errors =="
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== audit: every experiment invariant-clean at quick scale =="
 cargo test --release -q -p snoc-core --test audit

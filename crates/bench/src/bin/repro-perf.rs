@@ -2,7 +2,7 @@
 //!
 //! Times the workloads the perf trajectory is anchored on — the bare
 //! network-step kernel, one full Quick-scale fig6 cell, and the
-//! Quick-scale fig6 sweep both cold (caching and warm reuse off) and
+//! Quick-scale fig6 sweep both cold (caching off) and
 //! warm (cache-hit steady state) — and writes `BENCH_hotpath.json`
 //! (override with `--out <path>`) so every PR lands on a
 //! machine-readable perf record.
@@ -121,15 +121,14 @@ fn main() {
     });
 
     // The incremental-sweep machinery: one full Quick-scale fig6 grid
-    // per iteration. "Cold" disables result caching and warm-state
-    // reuse (every iteration pays full price); "warm" shares one
+    // per iteration. "Cold" disables result caching, so every
+    // iteration simulates every cell; "warm" shares one
     // runner, whose in-process cache is primed during the harness
     // warm-up window, so every measured iteration is pure cache hits.
     let grid = || fig6::Fig6.grid(Scale::Quick);
     let sweep_cold = harness::bench_with("sweep/fig6_quick_cold", warmup, measure, || {
         SweepRunner::new()
             .cache(false)
-            .warm_reuse(false)
             .run_grid("fig6/bench-cold", grid())
             .len()
     });

@@ -7,10 +7,14 @@
 //! sites (responses are flat objects, so a full serializer would be
 //! overkill). Numbers are carried as `f64` — every quantity the
 //! protocol moves (cycle counts, indices, rates) fits exactly in the
-//! 53-bit mantissa.
+//! 53-bit mantissa. Arrays and objects nest at most 64 deep, so a
+//! hostile line cannot exhaust the parsing thread's stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts.
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +41,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -115,6 +120,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -156,12 +163,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected '{}' at offset {}", b as char, self.at)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Runs `parse` on an array/object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -346,6 +367,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1))
+            .unwrap_err()
+            .contains("nesting"));
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use protocol::{Request, WireState};
 use snoc_common::fingerprint::{Fingerprint, StableHasher};
 use snoc_noc::NocEnv;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -449,15 +449,32 @@ fn executor(shared: &Arc<Shared>) {
     shared.log("executor stopped");
 }
 
+/// The longest request line a connection buffers, newline excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn client_loop(shared: &Arc<Shared>, stream: UnixStream) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap (room for the newline) tells an
+        // oversized line from one that just fits.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        let keep_serving = match protocol::parse_request(&line) {
+        let parsed = if buf.last() != Some(&b'\n') && buf.len() > MAX_LINE_BYTES {
+            skip_line(&mut reader)?;
+            Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => protocol::parse_request(line),
+                Err(_) => Err("request line is not UTF-8".to_string()),
+            }
+        };
+        let keep_serving = match parsed {
             Err(e) => {
                 writeln!(writer, "{}", protocol::error_line(&e))?;
                 true
@@ -470,6 +487,27 @@ fn client_loop(shared: &Arc<Shared>, stream: UnixStream) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Discards input up to and including the next newline (or to the end
+/// of the stream) without buffering it.
+fn skip_line(reader: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                reader.consume(n);
+            }
+        }
+    }
 }
 
 /// Handles one request; returns `false` when the connection should

@@ -24,25 +24,21 @@
 //! caught on its worker and reported as [`CellError`] in that cell's
 //! slot; the rest of the grid still runs.
 //!
+//! Every simulated cell runs on a [`System`] built fresh for it, so no
+//! state can leak from one cell into the next. Construction is cheap:
+//! the L2 banks allocate their line arrays on the first fill, which
+//! the profile-driven (tagless) banks never make.
+//!
 //! # Incremental sweeps
 //!
-//! Two optimizations (both on by default) make re-running a sweep much
+//! Result caching (on by default) makes re-running a sweep much
 //! cheaper than its first run without changing a single output byte:
-//!
-//! * **Result caching** — plain cells (no fault/audit/telemetry
-//!   instrumentation) are memoized under their content key
-//!   ([`cellcache::cell_key`]) in an in-process map that lives as long
-//!   as the runner (so repeated `run_grid` calls on one runner are
-//!   warm), and additionally
-//!   in an on-disk store when `SNOC_CACHE_DIR` (or
-//!   [`SweepRunner::cache_dir`]) points somewhere. `SNOC_SWEEP_CACHE=0`
-//!   or [`SweepRunner::cache`]`(false)` disables it.
-//! * **Warm-state reuse** — after a cell finishes, its worker keeps the
-//!   fully-allocated [`System`] and rebuilds the next cell *in place*
-//!   ([`System::reset_for_cell`]), reusing the NoC workspace, packet
-//!   arena, routing tables and scratch instead of reallocating them.
-//!   `SNOC_SWEEP_WARM=0` or [`SweepRunner::warm_reuse`]`(false)` falls
-//!   back to a fresh `System` per cell.
+//! plain cells (no fault/audit/telemetry instrumentation) are memoized
+//! under their content key ([`cellcache::cell_key`]) in an in-process
+//! map that lives as long as the runner (so repeated `run_grid` calls
+//! on one runner are warm), and additionally in an on-disk store when
+//! `SNOC_CACHE_DIR` (or [`SweepRunner::cache_dir`]) points somewhere.
+//! `SNOC_SWEEP_CACHE=0` or [`SweepRunner::cache`]`(false)` disables it.
 //!
 //! # Example
 //!
@@ -281,7 +277,6 @@ pub struct SweepRunner {
     threads: usize,
     observer: Box<dyn RunObserver>,
     cache: bool,
-    warm: bool,
     cache_dir: Option<PathBuf>,
     // Environment fallbacks, captured once at construction. Workers
     // never read the environment: a mid-flight mutation cannot alter a
@@ -302,7 +297,7 @@ impl Default for SweepRunner {
 
 impl SweepRunner {
     /// A silent single-threaded runner (the deterministic baseline).
-    /// Result caching and warm-state reuse are on; the on-disk store
+    /// Result caching is on; the on-disk store
     /// is off until [`SweepRunner::cache_dir`] points somewhere. The
     /// NoC environment fallbacks (`SNOC_AUDIT`/`SNOC_TELEMETRY`/
     /// `SNOC_FAULTS`/`SNOC_SHARDS`) are snapshotted *now*: grids run
@@ -313,7 +308,6 @@ impl SweepRunner {
             threads: 1,
             observer: Box::new(NullObserver),
             cache: true,
-            warm: true,
             cache_dir: None,
             env: NocEnv::capture(),
             cell_cache: OnceLock::new(),
@@ -324,8 +318,8 @@ impl SweepRunner {
     /// binaries do: `SNOC_THREADS` sets the worker count (default: the
     /// machine's available parallelism), `SNOC_PROGRESS=0` silences
     /// the per-cell progress lines, `SNOC_CACHE_DIR` roots the on-disk
-    /// result store, and `SNOC_SWEEP_CACHE=0` / `SNOC_SWEEP_WARM=0`
-    /// switch off result caching / warm-state reuse.
+    /// result store, and `SNOC_SWEEP_CACHE=0` switches off result
+    /// caching.
     pub fn from_env() -> Self {
         let threads = std::env::var("SNOC_THREADS")
             .ok()
@@ -337,10 +331,7 @@ impl SweepRunner {
                     .unwrap_or(1)
             });
         let off = |var: &str| std::env::var(var).is_ok_and(|v| v == "0");
-        let mut runner = Self::new()
-            .threads(threads)
-            .cache(!off("SNOC_SWEEP_CACHE"))
-            .warm_reuse(!off("SNOC_SWEEP_WARM"));
+        let mut runner = Self::new().threads(threads).cache(!off("SNOC_SWEEP_CACHE"));
         runner.cache_dir = cellcache::dir_from_env();
         if off("SNOC_PROGRESS") {
             runner
@@ -366,13 +357,6 @@ impl SweepRunner {
     /// `SNOC_SWEEP_CACHE`, race-free for tests and benches).
     pub fn cache(mut self, on: bool) -> Self {
         self.cache = on;
-        self
-    }
-
-    /// Switches warm-state reuse on or off (programmatic counterpart
-    /// of `SNOC_SWEEP_WARM`).
-    pub fn warm_reuse(mut self, on: bool) -> Self {
-        self.warm = on;
         self
     }
 
@@ -447,14 +431,11 @@ impl SweepRunner {
                 .cell_cache
                 .get_or_init(|| Arc::new(CellCache::new(self.cache_dir.clone())))
         });
-        let warm_on = self.warm;
 
-        // Each worker is seeded a contiguous block of the grid (good
-        // locality for warm reuse: neighbouring cells usually share a
-        // topology). A worker pops its own deque from the front; when
-        // that runs dry it scans the other deques in ring order and
-        // steals from the *back*, taking the work its victim would
-        // have reached last.
+        // Each worker is seeded a contiguous block of the grid. A worker
+        // pops its own deque from the front; when that runs dry it scans
+        // the other deques in ring order and steals from the *back*,
+        // taking the work its victim would have reached last.
         let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
             .map(|w| Mutex::new((w * n / threads..(w + 1) * n / threads).collect()))
             .collect();
@@ -466,8 +447,6 @@ impl SweepRunner {
         };
 
         let work = |wid: usize| {
-            // The worker's warm System, carried between its cells.
-            let mut warm: Option<System> = None;
             while let Some(i) = claim(wid) {
                 let spec = specs[i]
                     .lock()
@@ -504,17 +483,7 @@ impl SweepRunner {
                 }
 
                 let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                    // Reuse the worker's previous System in place when
-                    // allowed; a panic anywhere in here drops the
-                    // (possibly half-reset) System with the unwind, so
-                    // a poisoned instance is never carried forward.
-                    let mut system = match warm.take() {
-                        Some(mut s) if warm_on => {
-                            s.reset_for_cell_env(spec.cfg, &spec.workload, spec.mode, &pinned);
-                            s
-                        }
-                        _ => System::with_env(spec.cfg, &spec.workload, spec.mode, &pinned),
-                    };
+                    let mut system = System::with_env(spec.cfg, &spec.workload, spec.mode, &pinned);
                     if let Some(plan) = spec.faults {
                         system.enable_faults(plan);
                     }
@@ -524,13 +493,8 @@ impl SweepRunner {
                     if let Some(cfg) = spec.telemetry {
                         system.enable_telemetry(cfg);
                     }
-                    let metrics = system.run();
-                    (metrics, system)
+                    system.run()
                 }))
-                .map(|(metrics, system)| {
-                    warm = Some(system);
-                    metrics
-                })
                 .map_err(|p| CellError::Panicked(panic_message(p)));
                 if let Ok(metrics) = &outcome {
                     if let Some(audit) = &metrics.audit {
@@ -638,42 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_reuse_matches_fresh_systems() {
-        // One worker drives the whole grid through a single reused
-        // System, crossing scenario boundaries (different path modes,
-        // arbitration policies, write-buffer setups); the metrics must
-        // be bit-identical to building a fresh System per cell.
-        let grid = || {
-            let mut g = vec![tiny("a", "tpcc"), tiny("b", "sap")];
-            for sc in [Scenario::SttRam4TsbWb, Scenario::SttRam64Tsb] {
-                let cfg = sc.config().rebuild().cycles(100, 400).build();
-                g.push(RunSpec::homogeneous(
-                    sc.name(),
-                    cfg,
-                    table3::by_name("lbm").unwrap(),
-                ));
-            }
-            g
-        };
-        let fresh = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(false)
-            .run_grid("t", grid());
-        let warm = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(true)
-            .run_grid("t", grid());
-        for (f, w) in fresh.iter().zip(&warm) {
-            assert_eq!(
-                format!("{:?}", f.outcome),
-                format!("{:?}", w.outcome),
-                "cell {} must not see the previous cell's state",
-                f.label
-            );
-        }
-    }
-
-    #[test]
     fn the_memo_map_outlives_a_single_run_grid_call() {
         // Rerunning a grid on the *same* runner must be served entirely
         // from the in-process map — no disk store involved. (A bench
@@ -699,30 +627,6 @@ mod tests {
         for (f, s) in first.iter().zip(&second) {
             assert_eq!(format!("{:?}", f.outcome), format!("{:?}", s.outcome));
         }
-    }
-
-    #[test]
-    fn warm_reuse_recovers_after_a_panicked_cell() {
-        // A panic mid-cell drops the (possibly half-reset) System; the
-        // worker must fall back to a fresh build for the next cell and
-        // still produce the schedule-independent result.
-        let mut bad = tiny("bad", "sap");
-        bad.cfg.regions = 5; // fails validation -> panic
-        let grid = vec![tiny("a", "tpcc"), bad, tiny("c", "lbm")];
-        let results = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(true)
-            .run_grid("t", grid);
-        assert!(results[0].outcome.is_ok());
-        assert!(matches!(results[1].outcome, Err(CellError::Panicked(_))));
-        let fresh = SweepRunner::new()
-            .cache(false)
-            .warm_reuse(false)
-            .run_grid("t", vec![tiny("c", "lbm")]);
-        assert_eq!(
-            format!("{:?}", results[2].outcome),
-            format!("{:?}", fresh[0].outcome),
-        );
     }
 
     #[test]

@@ -210,109 +210,6 @@ impl System {
         }
     }
 
-    /// Re-targets this system at a new sweep cell, reusing the
-    /// network's allocated workspace shards, packet arena, routing
-    /// memoization and scratch via [`Network::reset`] instead of
-    /// reconstructing them.
-    ///
-    /// Cores, streams, caches, banks and controllers are rebuilt
-    /// fresh — they are cheap relative to the network, and rebuilding
-    /// them is trivially identical to construction. A system reset
-    /// this way produces bit-identical metrics to
-    /// [`System::new`] with the same arguments (the conformance and
-    /// sweep-cache tests assert this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`] or
-    /// the workload does not cover every core.
-    pub fn reset_for_cell(&mut self, cfg: SystemConfig, workload: &Workload, mode: DriveMode) {
-        self.reset_for_cell_env(cfg, workload, mode, &NocEnv::capture());
-    }
-
-    /// [`System::reset_for_cell`] with the environment fallbacks taken
-    /// from the pre-captured `env` snapshot (see [`System::with_env`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`] or
-    /// the workload does not cover every core.
-    pub fn reset_for_cell_env(
-        &mut self,
-        cfg: SystemConfig,
-        workload: &Workload,
-        mode: DriveMode,
-        env: &NocEnv,
-    ) {
-        cfg.validate().expect("valid configuration");
-        assert_eq!(workload.apps.len(), cfg.cores(), "one application per core");
-        self.net.reset(NetworkParams::resolve(&cfg, env));
-        self.mesh = Mesh::new(cfg.noc.width, cfg.noc.height);
-        let banks_n = cfg.banks();
-        let cap_factor = cfg.effective_capacity_factor();
-        self.cores = (0..cfg.cores())
-            .map(|i| OooCore::new(CoreId::new(i as u16), cfg.core))
-            .collect();
-        self.streams = workload
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let core = CoreId::new(i as u16);
-                match mode {
-                    DriveMode::Profile => {
-                        Stream::Profile(ProfileStream::new(p, core, banks_n, cap_factor, cfg.seed))
-                    }
-                    DriveMode::FullStack => {
-                        Stream::Full(FullStackStream::new(p, core, banks_n, cfg.seed))
-                    }
-                }
-            })
-            .collect();
-        self.l1s = (0..cfg.cores())
-            .map(|i| L1Cache::new(CoreId::new(i as u16), &cfg.mem, banks_n))
-            .collect();
-        let tag_mode = match mode {
-            DriveMode::Profile => TagMode::Probabilistic,
-            DriveMode::FullStack => TagMode::Real,
-        };
-        self.banks = (0..banks_n)
-            .map(|i| {
-                L2Bank::new(
-                    BankId::new(i as u16),
-                    &cfg.mem,
-                    cfg.tech,
-                    cfg.write_buffer,
-                    tag_mode,
-                )
-            })
-            .collect();
-        let w = cfg.noc.width as u16;
-        let h = cfg.noc.height as u16;
-        self.mc_nodes = [0, w - 1, (h - 1) * w, h * w - 1]
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        self.mcs = (0..cfg.mem.mem_controllers)
-            .map(|i| {
-                MemoryController::new(
-                    McId::new(i as u16),
-                    cfg.mem.dram_latency,
-                    cfg.mem.mc_outstanding,
-                )
-            })
-            .collect();
-        self.commit_base = vec![0; cfg.cores()];
-        self.now = 0;
-        self.pending_reads.clear();
-        self.full_issue.clear();
-        self.uncore_rtt = Accumulator::new();
-        self.uncore_rtt_tail = Reservoir::new(4096);
-        self.fill_sink.clear();
-        self.cfg = cfg;
-        self.mode = mode;
-    }
-
     /// All 64 cores run `profile` in profile-driven mode (the standard
     /// setup for the figure reproductions).
     pub fn homogeneous(cfg: SystemConfig, profile: &'static BenchmarkProfile) -> Self {

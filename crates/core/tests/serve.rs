@@ -7,7 +7,7 @@
 use snoc_core::cellcache;
 use snoc_core::serve::json::Json;
 use snoc_core::serve::protocol::{CellRequest, JobRequest};
-use snoc_core::serve::{jobs, ServeOptions, Server};
+use snoc_core::serve::{jobs, ServeOptions, Server, MAX_LINE_BYTES};
 use snoc_core::sweep::SweepRunner;
 use snoc_noc::NocEnv;
 use std::collections::HashMap;
@@ -349,4 +349,35 @@ fn shutdown_aborts_queued_jobs_and_unblocks_waiting_clients() {
     // (executor got to it first) or was aborted — both are terminal;
     // a hang or a dropped connection is the bug.
     assert!(matches!(str_of(done, "state"), "done" | "aborted"));
+}
+
+#[test]
+fn hostile_lines_get_errors_and_the_connection_keeps_serving() {
+    let server = Server::start(hermetic("hostile")).expect("start");
+    let mut stream = UnixStream::connect(server.socket()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut ask = |line: &str| {
+        stream.write_all(line.as_bytes()).expect("send");
+        stream.write_all(b"\n").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        Json::parse(&reply).unwrap_or_else(|e| panic!("bad response {reply:?}: {e}"))
+    };
+
+    // Deep enough to overflow a recursive parser's stack.
+    let deep = ask(&"[".repeat(200_000));
+    assert_eq!(deep.get("ok"), Some(&Json::Bool(false)), "{deep:?}");
+    assert!(str_of(&deep, "error").contains("nesting"), "{deep:?}");
+
+    // One byte over the line cap, and well-formed otherwise.
+    let pad = "x".repeat(MAX_LINE_BYTES);
+    let long = ask(&format!("{{\"op\":\"ping\",\"pad\":\"{pad}\"}}"));
+    assert_eq!(long.get("ok"), Some(&Json::Bool(false)), "{long:?}");
+    assert!(str_of(&long, "error").contains("longer than"), "{long:?}");
+
+    let pong = ask("{\"op\":\"ping\"}");
+    assert_eq!(pong.get("pong"), Some(&Json::Bool(true)), "{pong:?}");
+    let bye = request(server.socket(), "{\"op\":\"shutdown\"}");
+    assert_eq!(bye[0].get("shutting_down"), Some(&Json::Bool(true)));
+    server.wait();
 }

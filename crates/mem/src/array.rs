@@ -5,6 +5,11 @@
 //! True LRU is the default (the paper's policy); tree pseudo-LRU and
 //! seeded random are available for ablations (see
 //! [`crate::replacement`]).
+//!
+//! Line storage is allocated on the first [`CacheArray::insert`]: a
+//! 4 MB STT-RAM bank is tens of megabytes of bookkeeping, and the
+//! profile-driven (tagless) banks never fill a line. Until then every
+//! lookup answers as an all-invalid array would.
 
 use crate::replacement::{ReplacementKind, SetState};
 use snoc_common::rng::SimRng;
@@ -35,11 +40,13 @@ pub struct CacheArray<M> {
     sets: usize,
     ways: usize,
     block_bits: u32,
+    /// `sets * ways` lines once allocated; empty until the first insert.
     lines: Vec<Line<M>>,
     stamp: u64,
     hits: u64,
     misses: u64,
     policy: ReplacementKind,
+    /// One entry per set once allocated, like `lines`.
     set_state: Vec<SetState>,
     rng: Option<SimRng>,
 }
@@ -78,27 +85,42 @@ impl<M: Default + Clone> CacheArray<M> {
             sets.is_power_of_two(),
             "set count {sets} must be a power of two"
         );
+        // Checks the policy's geometry now, not at the first insert.
+        let _ = SetState::new(policy, ways);
         Self {
             sets,
             ways,
             block_bits: block_bytes.trailing_zeros(),
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    lru: 0,
-                    meta: M::default()
-                };
-                sets * ways
-            ],
+            lines: Vec::new(),
             stamp: 0,
             hits: 0,
             misses: 0,
             policy,
-            set_state: (0..sets).map(|_| SetState::new(policy, ways)).collect(),
+            set_state: Vec::new(),
             rng: matches!(policy, ReplacementKind::Random)
                 .then(|| SimRng::for_stream(seed, 0xCAC4E)),
         }
+    }
+
+    /// Allocates every line invalid and every set's replacement state
+    /// fresh: exactly the state an untouched array stands for.
+    fn allocate(&mut self) {
+        let invalid = Line {
+            tag: 0,
+            valid: false,
+            lru: 0,
+            meta: M::default(),
+        };
+        self.lines = vec![invalid; self.sets * self.ways];
+        self.set_state = (0..self.sets)
+            .map(|_| SetState::new(self.policy, self.ways))
+            .collect();
+    }
+
+    /// Whether line storage has been allocated.
+    #[cfg(test)]
+    pub(crate) fn is_allocated(&self) -> bool {
+        !self.lines.is_empty()
     }
 
     /// The replacement policy in force.
@@ -153,44 +175,42 @@ impl<M: Default + Clone> CacheArray<M> {
         set * self.ways + way
     }
 
+    /// The set and way holding `addr`, if resident (never, before the
+    /// first insert).
+    fn find(&self, addr: u64) -> Option<(usize, usize)> {
+        let set = self.set_of(addr);
+        let tag = self.tag_of(addr);
+        let lines = self.lines.get(self.slot(set, 0)..self.slot(set + 1, 0))?;
+        let way = lines.iter().position(|l| l.valid && l.tag == tag)?;
+        Some((set, way))
+    }
+
     /// Looks up `addr`, updating LRU and hit/miss counters. Returns
     /// mutable metadata on a hit.
     pub fn probe(&mut self, addr: u64) -> Option<&mut M> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
         self.stamp += 1;
-        for way in 0..self.ways {
-            let idx = self.slot(set, way);
-            if self.lines[idx].valid && self.lines[idx].tag == tag {
-                self.hits += 1;
-                self.lines[idx].lru = self.stamp;
-                self.set_state[set].touch(way, self.ways);
-                return Some(&mut self.lines[idx].meta);
-            }
-        }
-        self.misses += 1;
-        None
+        let Some((set, way)) = self.find(addr) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.set_state[set].touch(way, self.ways);
+        let idx = self.slot(set, way);
+        self.lines[idx].lru = self.stamp;
+        Some(&mut self.lines[idx].meta)
     }
 
     /// Looks up `addr` without perturbing LRU or counters.
     pub fn peek(&self, addr: u64) -> Option<&M> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        (0..self.ways)
-            .map(|w| &self.lines[self.slot(set, w)])
-            .find(|l| l.valid && l.tag == tag)
-            .map(|l| &l.meta)
+        let (set, way) = self.find(addr)?;
+        Some(&self.lines[self.slot(set, way)].meta)
     }
 
     /// Mutable variant of [`CacheArray::peek`].
     pub fn peek_mut(&mut self, addr: u64) -> Option<&mut M> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let ways = self.ways;
-        (0..ways)
-            .map(|w| self.slot(set, w))
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
-            .map(|i| &mut self.lines[i].meta)
+        let (set, way) = self.find(addr)?;
+        let idx = self.slot(set, way);
+        Some(&mut self.lines[idx].meta)
     }
 
     /// Installs `addr` with `meta`, evicting the LRU victim if the set
@@ -207,6 +227,9 @@ impl<M: Default + Clone> CacheArray<M> {
             self.peek(addr).is_none(),
             "inserting a block that is already present"
         );
+        if self.lines.is_empty() {
+            self.allocate();
+        }
         self.stamp += 1;
         // Prefer an invalid way.
         for way in 0..self.ways {
@@ -245,26 +268,24 @@ impl<M: Default + Clone> CacheArray<M> {
 
     /// Removes `addr` if present, returning its metadata.
     pub fn invalidate(&mut self, addr: u64) -> Option<M> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        for way in 0..self.ways {
-            let idx = self.slot(set, way);
-            if self.lines[idx].valid && self.lines[idx].tag == tag {
-                self.lines[idx].valid = false;
-                return Some(std::mem::take(&mut self.lines[idx].meta));
-            }
-        }
-        None
+        let (set, way) = self.find(addr)?;
+        let idx = self.slot(set, way);
+        let line = &mut self.lines[idx];
+        line.valid = false;
+        Some(std::mem::take(&mut line.meta))
     }
 
-    /// Iterates over all valid blocks as `(addr, &meta)`.
+    /// Iterates over all valid blocks as `(addr, &meta)`, set by set.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &M)> {
-        (0..self.sets).flat_map(move |set| {
-            (0..self.ways).filter_map(move |way| {
-                let l = &self.lines[self.slot(set, way)];
-                l.valid.then(|| (self.addr_of(set, l.tag), &l.meta))
+        self.lines
+            .chunks_exact(self.ways)
+            .enumerate()
+            .flat_map(move |(set, lines)| {
+                lines
+                    .iter()
+                    .filter(|l| l.valid)
+                    .map(move |l| (self.addr_of(set, l.tag), &l.meta))
             })
-        })
     }
 }
 
@@ -431,5 +452,69 @@ mod tests {
             }
         }
         assert!(big.misses() < small.misses() / 2);
+    }
+
+    /// Drives `a` through a seeded mix of every operation and records
+    /// each answer with the hit/miss counters after it.
+    fn transcript(a: &mut CacheArray<u32>, seed: u64) -> Vec<String> {
+        let mut rng = SimRng::for_stream(seed, 1);
+        let mut log = Vec::new();
+        for step in 0..2_000u32 {
+            let addr = rng.below(64) as u64 * 128 + rng.below(128) as u64;
+            // Lookups only at first, so the unallocated array answers too.
+            let out = match rng.below(if step < 64 { 5 } else { 6 }) {
+                0 => format!("{:?}", a.probe(addr)),
+                1 => format!("{:?}", a.peek(addr)),
+                2 => format!(
+                    "{:?}",
+                    a.peek_mut(addr).map(|m| {
+                        *m += 1;
+                        *m
+                    })
+                ),
+                3 => format!("{:?}", a.invalidate(addr)),
+                4 => format!("{:?}", a.iter().collect::<Vec<_>>()),
+                _ if a.peek(addr).is_some() => "present".to_string(),
+                _ => format!("{:?}", a.insert(addr, step)),
+            };
+            log.push(format!("{out} hits={} misses={}", a.hits(), a.misses()));
+        }
+        log
+    }
+
+    #[test]
+    fn lazy_storage_answers_like_eager_storage() {
+        use crate::replacement::ReplacementKind;
+        for policy in [
+            ReplacementKind::Lru,
+            ReplacementKind::TreePlru,
+            ReplacementKind::Random,
+        ] {
+            // 4 sets x 4 ways under 64 distinct blocks: plenty of
+            // evictions.
+            let mut lazy = CacheArray::<u32>::with_policy(16 * 128, 4, 128, policy, 7);
+            let mut eager = lazy.clone();
+            eager.allocate();
+            assert!(!lazy.is_allocated() && eager.is_allocated());
+            assert_eq!(
+                transcript(&mut lazy, 11),
+                transcript(&mut eager, 11),
+                "{policy:?}"
+            );
+            assert!(lazy.is_allocated(), "the first insert allocates");
+        }
+    }
+
+    #[test]
+    fn lookups_alone_never_allocate() {
+        let mut a = CacheArray::<u32>::new(4 * 1024 * 1024, 16, 128);
+        for addr in (0..4096u64).map(|i| i * 4096) {
+            assert!(a.probe(addr).is_none());
+            assert!(a.peek(addr).is_none() && a.peek_mut(addr).is_none());
+            assert!(a.invalidate(addr).is_none());
+        }
+        assert_eq!(a.iter().count(), 0);
+        assert_eq!((a.hits(), a.misses()), (0, 4096));
+        assert!(!a.is_allocated());
     }
 }

@@ -1110,4 +1110,61 @@ mod tests {
             .any(|m| matches!(m, BankMsg::Data { to, .. } if *to == core(2))));
         assert!(b.is_quiescent());
     }
+
+    #[test]
+    fn probabilistic_banks_never_allocate_their_array() {
+        // Every request kind, hitting and missing, each fetch answered
+        // with a fill.
+        let mut b = bank(TagMode::Probabilistic);
+        let mut t = 0;
+        for (i, forced_miss) in [false, true].into_iter().enumerate() {
+            let block = 0x1000 * (i as u64 + 1);
+            for msg in [
+                BankIn::GetS {
+                    block,
+                    from: core(1),
+                },
+                BankIn::GetM {
+                    block: block + 0x80,
+                    from: core(2),
+                },
+                BankIn::PutM {
+                    block: block + 0x100,
+                    from: core(3),
+                },
+            ] {
+                b.handle(msg, forced_miss, t);
+                let (msgs, t2) = run(&mut b, t, 50);
+                t = t2;
+                for m in msgs {
+                    if let BankMsg::Fetch { block } = m {
+                        b.handle(BankIn::Fill { block }, false, t);
+                        t = run(&mut b, t, 50).1;
+                    }
+                }
+            }
+        }
+        assert!(b.stats.fills > 0, "the drive must exercise fills");
+        assert!(b.is_quiescent());
+        assert!(!b.array.is_allocated());
+    }
+
+    #[test]
+    fn real_banks_allocate_their_array_on_the_first_fill() {
+        let mut b = bank(TagMode::Real);
+        b.handle(
+            BankIn::GetS {
+                block: 0x1000,
+                from: core(1),
+            },
+            false,
+            0,
+        );
+        let (msgs, t) = run(&mut b, 0, 10);
+        assert_eq!(msgs, vec![BankMsg::Fetch { block: 0x1000 }]);
+        assert!(!b.array.is_allocated(), "a lookup miss allocates nothing");
+        b.handle(BankIn::Fill { block: 0x1000 }, false, t);
+        run(&mut b, t, 40);
+        assert!(b.array.is_allocated(), "the fill's array write allocates");
+    }
 }

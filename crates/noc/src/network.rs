@@ -197,11 +197,6 @@ impl WakeMask {
         self.bits.len()
     }
 
-    /// Puts every member back to sleep (warm-state reset).
-    fn zero(&mut self) {
-        self.bits.fill(0);
-    }
-
     /// Snapshot of one 64-bit word (safe to take while clearing bits
     /// of the same mask or setting bits of *other* masks).
     #[inline]
@@ -543,143 +538,6 @@ impl Network {
                 .faults
                 .map(|plan| Box::new(FaultState::new(plan, 2 * n))),
         }
-    }
-
-    /// Returns the network to cycle 0 under `params`, reusing the
-    /// allocated workspace shards, packet arena, routers, NICs and
-    /// per-partition scratch instead of reconstructing them.
-    ///
-    /// When the new parameters share this network's physical geometry
-    /// (mesh dimensions, VC count/depth, flits per data packet, outbox
-    /// capacities and partition count), every component is rewound in
-    /// place and all *derived* structures — region map, parent map,
-    /// routing table, congestion estimators, wide-TSB flags, parent
-    /// index list — are rebuilt from `params` exactly as construction
-    /// builds them. The unconditional rebuild matters: a fault
-    /// campaign's [`Network::rehome_region`] permanently rewires those
-    /// structures, and a reset must not leak that wiring into the next
-    /// cell. Auditor, telemetry and fault state are re-derived from
-    /// `params` the same way [`Network::new`] derives them, so a reset
-    /// network is observably identical to a freshly constructed one
-    /// (the lockstep test in `workspace_diff.rs` drives both
-    /// move-for-move).
-    ///
-    /// Geometry changes fall back to full reconstruction.
-    pub fn reset(&mut self, params: NetworkParams) {
-        let old = &self.params.noc;
-        let compatible = old.width == params.noc.width
-            && old.height == params.noc.height
-            && old.vcs_per_port == params.noc.vcs_per_port
-            && old.vc_depth == params.noc.vc_depth
-            && old.data_flits == params.noc.data_flits
-            && old.shards == params.noc.shards
-            && self.params.cache_outbox_cap == params.cache_outbox_cap
-            && self.params.core_outbox_cap == params.core_outbox_cap;
-        if !compatible {
-            *self = Network::new(params);
-            return;
-        }
-        assert!(
-            params.noc.tsb_width_factor <= MAX_BURST,
-            "tsb_width_factor {} exceeds the supported burst bound {MAX_BURST}",
-            params.noc.tsb_width_factor
-        );
-
-        // Derived wiring, rebuilt from scratch (never carried over).
-        let regions = RegionMap::new(self.mesh, params.regions, params.placement);
-        let parents = ParentMap::new(
-            self.mesh,
-            &regions,
-            params.parent_hops,
-            params.noc.router_stages,
-            params.noc.link_latency,
-        );
-        for r in &mut self.routers {
-            let children = parents
-                .children_of(r.coord())
-                .map(<[_]>::to_vec)
-                .unwrap_or_default();
-            r.reset(children);
-        }
-        self.wide_down.iter_mut().for_each(|w| *w = false);
-        if params.path_mode == RequestPathMode::RegionTsbs {
-            for r in 0..regions.regions() {
-                let t = regions.tsb_node(RegionId::new(r as u16));
-                self.wide_down[t.index()] = true;
-            }
-        }
-        self.estimator = match params.arbitration {
-            ArbitrationPolicy::BankAware {
-                estimator: Estimator::Rca,
-            } => EstimatorState::Rca(RcaState::new(self.routers.len())),
-            ArbitrationPolicy::BankAware {
-                estimator: Estimator::WindowBased,
-            } => {
-                let map = parents
-                    .parents()
-                    .map(|p| {
-                        let kids = parents.children_of(p).unwrap().iter().map(|c| c.bank);
-                        (p, WbEstimator::new(kids))
-                    })
-                    .collect();
-                EstimatorState::WindowBased(map)
-            }
-            _ => EstimatorState::Simple,
-        };
-        self.parent_idxs = self
-            .routers
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.children().is_empty())
-            .map(|(i, _)| i as u32)
-            .collect();
-        self.routing = RoutingTable::new(self.mesh, params.path_mode, regions);
-        self.parents = parents;
-
-        // Allocated state, rewound in place.
-        for ws in &mut self.shards {
-            ws.reset();
-        }
-        for nic in &mut self.nics {
-            nic.reset(params.noc.vc_depth);
-        }
-        self.arena.reset();
-        for mask in self
-            .router_wake
-            .iter_mut()
-            .chain(&mut self.nic_inject_wake)
-            .chain(&mut self.nic_eject_wake)
-        {
-            mask.zero();
-        }
-        for s in &mut self.scratch {
-            s.moves.clear();
-            s.stamps.clear();
-        }
-        self.eject_credits.clear();
-        self.eject_events.clear();
-        self.now = 0;
-        self.spawned_cycles = 0;
-        self.stats = NetStats::default();
-
-        // Instrumentation, re-derived exactly as `new` derives it.
-        self.auditor = params.audit.map(|cfg| Box::new(NetAuditor::new(cfg)));
-        self.telemetry = params.telemetry.map(|cfg| {
-            Box::new(NetTelemetry::new(
-                cfg,
-                self.routers.len(),
-                params.noc.vcs_per_port,
-            ))
-        });
-        if self.telemetry.is_some() {
-            for r in &mut self.routers {
-                r.tap = Some(Box::default());
-            }
-        }
-        self.faults = params
-            .faults
-            .map(|plan| Box::new(FaultState::new(plan, self.routers.len())));
-        self.params = params;
     }
 
     /// The mesh geometry.

@@ -302,24 +302,6 @@ impl Router {
         self.children = children;
     }
 
-    /// Returns the router to its just-constructed state with a (possibly
-    /// new) child assignment: allocation masks and round-robin pointers
-    /// rewound, scratch and statistics cleared, busy table and
-    /// congestion estimates rebuilt, telemetry scratch dropped (the
-    /// network re-installs taps when telemetry is enabled). A reset
-    /// router is observably identical to a fresh [`Router::new`] with
-    /// the same geometry and children.
-    pub fn reset(&mut self, children: Vec<ChildInfo>) {
-        self.va_rr = [0; PORTS];
-        self.sa_rr = [0; PORTS];
-        self.va_mask = 0;
-        self.sa_mask = [0; PORTS];
-        self.sa_moves.clear();
-        self.stats = RouterStats::default();
-        self.tap = None;
-        self.set_children(children);
-    }
-
     /// The position of `bank` in `children`/`child_cong`, if managed.
     #[inline]
     fn child_slot(&self, bank: BankId) -> Option<usize> {

@@ -128,24 +128,6 @@ impl NocWorkspace {
         }
     }
 
-    /// Returns every lane to its just-constructed state without
-    /// touching the allocations: empty rings, no routes or owners,
-    /// full credits, zero occupancy. The flit slots themselves are
-    /// left as-is — `len == 0` makes them unreadable, and every write
-    /// path stores before the matching read — so a reset store is
-    /// observably identical to a fresh [`NocWorkspace::with_base`]
-    /// with the same geometry.
-    pub fn reset(&mut self) {
-        self.head.fill(0);
-        self.len.fill(0);
-        self.route.fill(NO_ROUTE);
-        self.held.fill(NO_HOLD);
-        self.policy_held.fill(0);
-        self.credits.fill(self.depth as u8);
-        self.owner.fill(NO_OWNER);
-        self.buffered.fill(0);
-    }
-
     /// Number of routers served.
     pub fn routers(&self) -> usize {
         self.routers

@@ -724,133 +724,3 @@ fn partitioned_stepper_lockstep_holds_at_4x8() {
 fn partitioned_stepper_lockstep_holds_at_16x16() {
     lockstep_sharded(16, 16, 16, &[1, 2, 4], 400, 900, 100);
 }
-
-/// Warm-state reuse's contract: `Network::reset` must hand back a
-/// network that is move-for-move identical to a freshly constructed
-/// one. A network is dirtied with randomized traffic (reset while
-/// packets are still in flight, so buffers, arenas, holds and RNG-fed
-/// arbiter state are all non-trivial), reset with the same parameters,
-/// then driven in lockstep against a brand-new network — at 1 shard
-/// and at 4.
-#[test]
-fn reset_network_stays_in_lockstep_with_a_fresh_one() {
-    for shards in [1usize, 4] {
-        let params = NetworkParams {
-            noc: NocConfig {
-                shards,
-                ..NocConfig::default()
-            },
-            path_mode: RequestPathMode::RegionTsbs,
-            regions: 4,
-            placement: TsbPlacement::Corner,
-            parent_hops: 2,
-            arbitration: ArbitrationPolicy::BankAware {
-                estimator: Estimator::WindowBased,
-            },
-            wb_window: 4,
-            bank_read_latency: 3,
-            bank_write_latency: 33,
-            cache_outbox_cap: 4,
-            core_outbox_cap: 64,
-            max_hold: 99,
-            hold_slack: 0,
-            audit: None,
-            telemetry: None,
-            faults: None,
-        };
-
-        // Dirty a network: sustained traffic, stopped mid-flight.
-        let mut reused = Network::new(params);
-        let mut dirt = SimRng::for_stream(0xD1E7, shards as u64);
-        for _ in 0..300 {
-            if dirt.chance(0.7) {
-                let s = dirt.below(64) as u16;
-                let d = dirt.below(64) as u16;
-                let mesh = reused.mesh();
-                let src = mesh.coord(NodeId::new(s), Layer::Core);
-                let dst = mesh.coord(NodeId::new(d), Layer::Cache);
-                reused.inject(Packet::new(PacketKind::BankWrite, src, dst, s as u64, 0));
-            }
-            reused.step();
-        }
-        assert!(reused.in_flight() > 0, "dirtying left nothing in flight");
-        reused.reset(params);
-
-        let mut nets = [reused, Network::new(params)];
-        let mut rng = SimRng::for_stream(0x5AAD, 1);
-        let mut delivered = 0usize;
-        let mut offered = 0usize;
-        let horizon = 800u64;
-        for cycle in 0..horizon + 700 {
-            if cycle < horizon && rng.chance(0.5) {
-                let token = offered as u64;
-                let s = rng.below(64) as u16;
-                let d = rng.below(64) as u16;
-                let (kind, up) = match rng.below(5) {
-                    0 => (PacketKind::BankRead, true),
-                    1 => (PacketKind::BankWrite, true),
-                    2 => (PacketKind::Writeback, true),
-                    3 => (PacketKind::DataReply, false),
-                    _ => (PacketKind::Inv, false),
-                };
-                for net in &mut nets {
-                    let mesh = net.mesh();
-                    let (src, dst) = if up {
-                        (
-                            mesh.coord(NodeId::new(s), Layer::Core),
-                            mesh.coord(NodeId::new(d), Layer::Cache),
-                        )
-                    } else {
-                        (
-                            mesh.coord(NodeId::new(s), Layer::Cache),
-                            mesh.coord(NodeId::new(d), Layer::Core),
-                        )
-                    };
-                    net.inject(Packet::new(kind, src, dst, token, token));
-                }
-                offered += 1;
-            }
-            for net in &mut nets {
-                net.step();
-            }
-            for node in 0..128u16 {
-                let mesh = nets[0].mesh();
-                let at = if node < 64 {
-                    mesh.coord(NodeId::new(node), Layer::Core)
-                } else {
-                    mesh.coord(NodeId::new(node - 64), Layer::Cache)
-                };
-                let [a, b] = &mut nets;
-                let ta: Vec<u64> = a.drain_delivered(at).iter().map(|p| p.token).collect();
-                let tb: Vec<u64> = b.drain_delivered(at).iter().map(|p| p.token).collect();
-                assert_eq!(
-                    ta, tb,
-                    "cycle {cycle}: deliveries at {at} (reset vs fresh, {shards} shard(s))"
-                );
-                delivered += ta.len();
-            }
-            if cycle % 64 == 0 || cycle >= horizon + 600 {
-                assert_networks_match(&nets[0], &nets[1], cycle);
-            }
-        }
-
-        assert!(offered > 250, "traffic too thin: {offered} offered");
-        assert_eq!(delivered, offered, "every packet arrives in both");
-        let (sa, sb) = (nets[0].stats(), nets[1].stats());
-        assert_eq!(
-            (
-                sa.delivered,
-                sa.latency.mean(),
-                sa.vertical_flits,
-                sa.tag_acks
-            ),
-            (
-                sb.delivered,
-                sb.latency.mean(),
-                sb.vertical_flits,
-                sb.tag_acks
-            ),
-            "reset network's statistics must match a fresh one's ({shards} shard(s))"
-        );
-    }
-}
