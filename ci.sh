@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build+test, every workspace test in release,
+# CI gate: tier-1 build+test, every workspace test in release, the
+# benchmark's own tests and self-test (perfbench must build against the
+# crates, and its tpcc oracle and Quick-grid goldens must hold),
 # formatting, workspace-wide lints, the audited
 # conformance leg, a sweep determinism smoke test (SNOC_THREADS must
 # not change a repro binary's stdout), a partitioned-stepper smoke
@@ -25,6 +27,10 @@ cargo test -q
 
 echo "== workspace tests: every crate's unit and integration tests (release) =="
 cargo test --workspace --release -q
+
+echo "== benchmark: perfbench tests and self-test against the current crates =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- --self-test
 
 echo "== formatting =="
 cargo fmt --all -- --check

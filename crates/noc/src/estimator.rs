@@ -2,6 +2,7 @@
 //! (Section 3.5): the Simplistic Scheme, Regional Congestion Awareness
 //! and the Window-Based scheme.
 
+use crate::router::{Links, NO_LINK};
 use snoc_common::geom::{Coord, Direction};
 use snoc_common::ids::BankId;
 use snoc_common::Cycle;
@@ -140,23 +141,14 @@ impl WbEstimator {
 /// cycles.
 #[derive(Debug, Clone)]
 pub struct RcaState {
-    /// `values[router][direction] = aggregated congestion (0..=255)`.
+    /// `values[router][direction port] = aggregated congestion
+    /// (0..=255)`, for the six ports that have links (all but `Local`).
     values: Vec<[u8; 6]>,
     /// Double buffer for [`Self::propagate`]: the previous cycle's
     /// values are read from here while the new ones are written into
     /// `values`, avoiding a per-cycle allocation.
     scratch: Vec<[u8; 6]>,
 }
-
-/// The six propagating directions (all but `Local`).
-const RCA_DIRS: [Direction; 6] = [
-    Direction::East,
-    Direction::West,
-    Direction::North,
-    Direction::South,
-    Direction::Down,
-    Direction::Up,
-];
 
 impl RcaState {
     /// Creates zeroed state for `routers` routers.
@@ -168,8 +160,16 @@ impl RcaState {
     }
 
     /// The aggregated congestion value at `router` looking in `dir`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Direction::Local`], which has no side wire.
     pub fn value(&self, router: usize, dir: Direction) -> u8 {
-        self.values[router][Self::slot(dir)]
+        assert!(
+            dir != Direction::Local,
+            "RCA does not propagate on the local port"
+        );
+        self.values[router][dir.port()]
     }
 
     /// Converts an aggregated value into a cycle estimate: the value
@@ -188,44 +188,28 @@ impl RcaState {
         frac * per_hop_flits as u64 * hops as u64 / 255
     }
 
-    /// One propagation step. `occupancy(i)` must return router `i`'s
-    /// local congestion as a 0..=255 fraction of buffer capacity;
-    /// `neighbour(i, dir)` the downstream router index in `dir`, if
-    /// any.
-    pub fn propagate(
-        &mut self,
-        occupancy: impl Fn(usize) -> u8,
-        neighbour: impl Fn(usize, Direction) -> Option<usize>,
-    ) {
+    /// One propagation step over the link table `links` (see
+    /// [`link_table`](crate::router::link_table)). `occupancy[i]` is
+    /// router `i`'s local congestion this cycle as a 0..=255 fraction of
+    /// buffer capacity.
+    pub fn propagate(&mut self, occupancy: &[u8], links: &[Links]) {
+        debug_assert_eq!(links.len(), self.values.len());
+        debug_assert_eq!(occupancy.len(), self.values.len());
         std::mem::swap(&mut self.values, &mut self.scratch);
         let prev = &self.scratch;
-        for i in 0..self.values.len() {
-            for dir in RCA_DIRS {
-                let slot = Self::slot(dir);
-                self.values[i][slot] = match neighbour(i, dir) {
-                    Some(n) => {
-                        let local = occupancy(n) as u16;
-                        let downstream = prev[n][slot] as u16;
-                        // Round to nearest: truncating division would
-                        // bias every hop downwards, and a downstream
-                        // value of 1 could never propagate past one hop.
-                        (local + downstream).div_ceil(2) as u8
-                    }
-                    None => 0,
+        for (row, out) in links.iter().zip(&mut self.values) {
+            for (slot, v) in out.iter_mut().enumerate() {
+                let n = row[slot];
+                *v = if n == NO_LINK {
+                    0
+                } else {
+                    let n = n as usize;
+                    // Round to nearest: truncating division would bias
+                    // every hop downwards, and a downstream value of 1
+                    // could never propagate past one hop.
+                    (u16::from(occupancy[n]) + u16::from(prev[n][slot])).div_ceil(2) as u8
                 };
             }
-        }
-    }
-
-    fn slot(dir: Direction) -> usize {
-        match dir {
-            Direction::East => 0,
-            Direction::West => 1,
-            Direction::North => 2,
-            Direction::South => 3,
-            Direction::Down => 4,
-            Direction::Up => 5,
-            Direction::Local => panic!("RCA does not propagate on the local port"),
         }
     }
 }
@@ -335,14 +319,24 @@ mod tests {
         assert!(wb.on_forward(BankId::new(1), 2001, 1).is_some());
     }
 
+    /// A link table of `routers` unlinked routers with the given
+    /// `(from, dir, to)` links added.
+    fn links(routers: usize, edges: &[(usize, Direction, usize)]) -> Vec<Links> {
+        let mut t = vec![[NO_LINK; crate::router::PORTS]; routers];
+        for &(from, dir, to) in edges {
+            t[from][dir.port()] = to as u32;
+        }
+        t
+    }
+
     #[test]
     fn rca_blends_neighbour_occupancy() {
         let mut rca = RcaState::new(2);
         // Router 0's East neighbour is router 1 with occupancy 200.
-        let nb = |i: usize, d: Direction| (i == 0 && d == Direction::East).then_some(1usize);
-        rca.propagate(|i| if i == 1 { 200 } else { 0 }, nb);
+        let nb = links(2, &[(0, Direction::East, 1)]);
+        rca.propagate(&[0, 200], &nb);
         assert_eq!(rca.value(0, Direction::East), 100); // (200 + 0)/2
-        rca.propagate(|i| if i == 1 { 200 } else { 0 }, nb);
+        rca.propagate(&[0, 200], &nb);
         assert_eq!(rca.value(0, Direction::East), 100); // steady state: (200+0)/2
         assert_eq!(rca.value(0, Direction::West), 0);
         assert_eq!(
@@ -355,8 +349,8 @@ mod tests {
     #[test]
     fn rca_estimate_scales_with_depth_and_hops() {
         let mut rca = RcaState::new(2);
-        let nb = |i: usize, d: Direction| (i == 0 && d == Direction::East).then_some(1usize);
-        rca.propagate(|_| 255, nb);
+        let nb = links(2, &[(0, Direction::East, 1)]);
+        rca.propagate(&[255, 255], &nb);
         // value = (255+0+1)/2 = 128; 128/255 * 5 * 2 = 5 (integer math).
         assert_eq!(rca.estimate_cycles(0, Direction::East, 5, 2), 5);
         assert_eq!(rca.estimate_cycles(0, Direction::West, 5, 2), 0);
@@ -366,19 +360,19 @@ mod tests {
     fn rca_propagates_congestion_upstream_over_multiple_hops() {
         // Chain 0 -E-> 1 -E-> 2, congestion at router 2 only.
         let mut rca = RcaState::new(3);
-        let nb = |i: usize, d: Direction| {
-            if d == Direction::East && i + 1 < 3 {
-                Some(i + 1)
-            } else {
-                None
-            }
-        };
-        let occ = |i: usize| if i == 2 { 240u8 } else { 0 };
-        rca.propagate(occ, nb);
-        rca.propagate(occ, nb);
+        let nb = links(3, &[(0, Direction::East, 1), (1, Direction::East, 2)]);
+        let occ = [0, 0, 240];
+        rca.propagate(&occ, &nb);
+        rca.propagate(&occ, &nb);
         assert_eq!(rca.value(1, Direction::East), 120);
         // Router 0 sees it diluted through router 1.
         assert_eq!(rca.value(0, Direction::East), 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "local port")]
+    fn rca_has_no_local_side_wire() {
+        RcaState::new(1).value(0, Direction::Local);
     }
 
     #[test]

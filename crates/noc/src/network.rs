@@ -11,7 +11,7 @@ use crate::packet::{Flit, Packet, TrafficClass, WbTag};
 use crate::parent::ParentMap;
 use crate::partition::PartitionMap;
 use crate::regions::RegionMap;
-use crate::router::{NetView, Router, StepParams, SwitchMove, MAX_BURST, PORTS};
+use crate::router::{link_table, Links, NetView, Router, StepParams, SwitchMove, MAX_BURST, PORTS};
 use crate::routing::RoutingTable;
 use crate::telemetry::{NetTelemetry, TelemetryConfig, TelemetrySummary};
 use crate::workspace::{NocWorkspace, WsView};
@@ -324,9 +324,7 @@ fn step_partition(ctx: &mut PartCtx<'_>, sh: &StepShared<'_>) {
                 blocked: sh.fault_blocked.map_or(0, |b| b[idx]),
             };
             ctx.routers[li].step_va(ctx.ws, &sh.view, p);
-            for m in ctx.routers[li].step_sa(ctx.ws, &sh.view, p) {
-                ctx.moves.push((idx, *m));
-            }
+            ctx.routers[li].step_sa(ctx.ws, &sh.view, p, ctx.moves);
         }
     }
 }
@@ -339,6 +337,9 @@ pub struct Network {
     pub(crate) routing: RoutingTable,
     parents: ParentMap,
     pub(crate) routers: Vec<Router>,
+    /// `links[router][port]`: the router at the far end of each link,
+    /// built once from the mesh (credit returns, flit delivery, RCA).
+    links: Vec<Links>,
     /// Contiguous band-aligned partitions of the router index space.
     parts: PartitionMap,
     /// The structure-of-arrays stores holding every router's VC
@@ -348,6 +349,11 @@ pub struct Network {
     pub(crate) nics: Vec<Nic>,
     pub(crate) arena: Arena,
     estimator: EstimatorState,
+    /// RCA scratch: every router's occupancy byte this cycle.
+    rca_occupancy: Vec<u8>,
+    /// WB `(parent, child)` estimates changed by a tag ack since the
+    /// last refresh of the parents' `child_cong`.
+    wb_dirty: Vec<(Coord, BankId)>,
     wide_down: Vec<bool>,
     now: Cycle,
     stats: NetStats,
@@ -525,6 +531,9 @@ impl Network {
             eject_events: Vec::new(),
             shards,
             parts,
+            links: link_table(mesh),
+            rca_occupancy: vec![0; routers.len()],
+            wb_dirty: Vec::new(),
             routers,
             nics,
             arena: Arena::new(),
@@ -692,6 +701,11 @@ impl Network {
     /// paper's "queued at the network interface").
     pub fn drain_delivered_up_to(&mut self, at: Coord, max: usize) -> Vec<Packet> {
         let idx = self.ridx(at);
+        if self.nics[idx].outbox_len() == 0 {
+            // Nothing to take, record or filter (the fault filter draws
+            // per packet, so an empty set draws nothing).
+            return Vec::new();
+        }
         let mut delivered = self.nics[idx].pop_delivered_up_to(&mut self.arena, max);
         for p in &delivered {
             if let Some(a) = &mut self.auditor {
@@ -751,20 +765,13 @@ impl Network {
 
         // Estimator upkeep.
         if let EstimatorState::Rca(rca) = &mut self.estimator {
-            let routers = &self.routers;
-            let ws = WsView::new(&self.shards);
-            let mesh = self.mesh;
-            let n = mesh.nodes_per_layer();
-            rca.propagate(
-                |i| ws.occupancy_byte(i),
-                |i, dir| {
-                    let coord = routers[i].coord();
-                    mesh.neighbour(coord, dir).map(|c| {
-                        let base = if c.layer == Layer::Cache { n } else { 0 };
-                        base + mesh.node(c).index()
-                    })
-                },
-            );
+            for ws in &self.shards {
+                let first = ws.base_router();
+                for i in first..first + ws.routers() {
+                    self.rca_occupancy[i] = ws.occupancy_byte(i);
+                }
+            }
+            rca.propagate(&self.rca_occupancy, &self.links);
         }
         if now.is_multiple_of(self.params.noc.wb_expire_period) {
             if let EstimatorState::WindowBased(map) = &mut self.estimator {
@@ -937,9 +944,7 @@ impl Network {
                     blocked: fault_blocked.map_or(0, |b| b[idx]),
                 };
                 self.routers[idx].step_va(ws, &view, p);
-                for m in self.routers[idx].step_sa(ws, &view, p) {
-                    sc.moves.push((idx, *m));
-                }
+                self.routers[idx].step_sa(ws, &view, p, &mut sc.moves);
             }
         }
     }
@@ -1186,6 +1191,9 @@ impl Network {
                 })
                 .collect();
             self.estimator = EstimatorState::WindowBased(map);
+            // `set_children` zeroed every `child_cong`, which is what
+            // the fresh estimators report: nothing is left to refresh.
+            self.wb_dirty.clear();
         }
         self.parents = parents;
         self.routing = RoutingTable::new(self.mesh, self.params.path_mode, regions);
@@ -1225,6 +1233,10 @@ impl Network {
         self.faults.as_deref().map(|f| f.summary.clone())
     }
 
+    /// Brings the parents' `child_cong` up to date with the estimator
+    /// before VA/SA read it: every child under RCA, whose values move
+    /// every cycle; under WB only the children whose estimate a tag
+    /// ack changed last cycle (see [`Network::handle_event`]).
     fn refresh_child_cong(&mut self) {
         if !self.params.arbitration.is_bank_aware() {
             return;
@@ -1242,13 +1254,16 @@ impl Network {
                 }
             }
             EstimatorState::WindowBased(map) => {
-                for &idx in &self.parent_idxs {
-                    let idx = idx as usize;
-                    let coord = self.routers[idx].coord();
+                for &(coord, bank) in &self.wb_dirty {
                     let Some(wb) = map.get(&coord) else { continue };
-                    self.routers[idx]
-                        .refresh_child_cong_with(|c| wb.estimate(c.bank).min(3 * c.base_latency));
+                    let idx = self.ridx(coord);
+                    let r = &mut self.routers[idx];
+                    if let Some(slot) = r.child_slot(bank) {
+                        let base = r.children()[slot].base_latency;
+                        r.child_cong[slot] = wb.estimate(bank).min(3 * base);
+                    }
                 }
+                self.wb_dirty.clear();
             }
         }
     }
@@ -1256,12 +1271,13 @@ impl Network {
     fn apply_move(&mut self, idx: usize, m: SwitchMove, now: Cycle) {
         let coord = self.routers[idx].coord();
         let nflits = m.flits.len() as u8;
+        let first = m.flits.first();
 
         // Parent bookkeeping: busy-table update and WB tagging happen
         // when the head flit of a bank request is forwarded by the
         // destination bank's parent.
-        if m.flits[0].head {
-            let pid = m.flits[0].packet;
+        if first.head {
+            let pid = first.packet;
             let (kind, bank) = {
                 let p = self.arena.get(pid);
                 (p.kind, p.dest_bank(self.mesh))
@@ -1305,51 +1321,44 @@ impl Network {
         }
 
         if let Some(t) = &mut self.telemetry {
-            let uid = self.arena.get(m.flits[0].packet).uid;
-            t.note_link(idx, coord, uid, m.out_dir, m.out_vc as u8, nflits, now);
+            let uid = self.arena.get(first.packet).uid;
+            t.note_link(idx, coord, uid, m.out_dir, m.out_vc, nflits, now);
         }
 
         // Return credits upstream for the freed buffer slots.
-        let in_dir = Direction::ALL[m.in_port];
+        let (in_port, in_vc, out_vc) = (m.in_port as usize, m.in_vc as usize, m.out_vc as usize);
+        let in_dir = Direction::ALL[in_port];
         if in_dir == Direction::Local {
-            self.nics[idx].return_credit(m.in_vc, nflits);
+            self.nics[idx].return_credit(in_vc, nflits);
         } else {
-            let up = self
-                .mesh
-                .neighbour(coord, in_dir)
-                .expect("input port has an upstream");
-            let uidx = self.ridx(up);
+            let uidx = self.links[idx][in_port] as usize;
             let up_part = self.part_of(uidx);
             let ws = &mut self.shards[up_part];
-            self.routers[uidx].return_credit(ws, in_dir.arrival_port(), m.in_vc, nflits);
+            self.routers[uidx].return_credit(ws, in_dir.arrival_port(), in_vc, nflits);
         }
 
         // Deliver the flits.
         match m.out_dir {
             Direction::Local => {
-                for f in &m.flits {
-                    self.nics[idx].accept_eject(m.out_vc, *f);
+                for f in m.flits.iter() {
+                    self.nics[idx].accept_eject(out_vc, f);
                 }
                 self.wake_nic_eject(idx);
             }
             dir => {
-                let to = self
-                    .mesh
-                    .neighbour(coord, dir)
-                    .expect("route stays on chip");
-                let tidx = self.ridx(to);
+                let tidx = self.links[idx][dir.port()] as usize;
                 let in_port = dir.arrival_port().port();
                 let ready = now + self.params.noc.link_latency + self.params.noc.router_stages;
                 let to_part = self.part_of(tidx);
                 let ws = &mut self.shards[to_part];
-                for f in &m.flits {
+                for f in m.flits.iter() {
                     self.routers[tidx].accept(
                         ws,
                         in_port,
-                        m.out_vc,
+                        out_vc,
                         Flit {
                             ready_at: ready,
-                            ..*f
+                            ..f
                         },
                     );
                 }
@@ -1386,9 +1395,13 @@ impl Network {
                 if let EstimatorState::WindowBased(map) = &mut self.estimator {
                     if let Some(wb) = map.get_mut(&tag.parent) {
                         let before = wb.estimate(tag.child);
-                        let sample = wb.on_ack(tag.child, tag.stamp, when, base);
-                        if let (Some(sample), Some(t)) = (sample, &mut self.telemetry) {
-                            t.note_estimator(before, sample);
+                        if let Some(sample) = wb.on_ack(tag.child, tag.stamp, when, base) {
+                            // The parent's `child_cong` picks the new
+                            // estimate up at the start of the next step.
+                            self.wb_dirty.push((tag.parent, tag.child));
+                            if let Some(t) = &mut self.telemetry {
+                                t.note_estimator(before, sample);
+                            }
                         }
                     }
                 }
@@ -2218,5 +2231,106 @@ mod tests {
         let got = deliver(&mut net, dst, 200);
         assert_eq!(got[0].kind, PacketKind::Inv);
         assert!(net.stats().coherence_latency.count() == 1);
+    }
+
+    /// Every parent's `child_cong` recomputed from scratch by the
+    /// per-cycle rule: for every child, the estimator's current
+    /// estimate capped at three times the child's base latency.
+    fn scratch_child_cong(net: &Network) -> Vec<Vec<Cycle>> {
+        let per_hop = net.params.noc.vc_depth * net.params.noc.vcs_per_port;
+        net.routers
+            .iter()
+            .enumerate()
+            .map(|(idx, r)| {
+                r.children()
+                    .iter()
+                    .map(|c| match &net.estimator {
+                        EstimatorState::Simple => 0,
+                        EstimatorState::Rca(rca) => rca
+                            .estimate_cycles(idx, c.first_hop, per_hop, c.hops)
+                            .min(3 * c.base_latency),
+                        EstimatorState::WindowBased(map) => map
+                            .get(&r.coord())
+                            .expect("every parent has a WB estimator")
+                            .estimate(c.bank)
+                            .min(3 * c.base_latency),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Steps a network under seeded request/reply bank traffic and
+    /// checks, every cycle, that the `child_cong` values VA and SA read
+    /// during the step equal the from-scratch rule applied to the
+    /// estimator state the step started from. Returns the number of
+    /// non-zero estimates seen and the network.
+    fn run_child_cong_lockstep(
+        estimator: Estimator,
+        faults: Option<FaultPlan>,
+    ) -> (usize, Network) {
+        let mut p = params(
+            RequestPathMode::RegionTsbs,
+            ArbitrationPolicy::BankAware { estimator },
+        );
+        p.wb_window = 2;
+        p.faults = faults;
+        let mut net = Network::new(p);
+        let mut rng = snoc_common::rng::SimRng::for_stream(0xC0C0, 7);
+        let mut expect = scratch_child_cong(&net);
+        let mut nonzero = 0;
+        for cycle in 0..4000u64 {
+            if cycle < 3000 {
+                for node in 0..64u16 {
+                    if rng.chance(0.03) {
+                        let kind = if rng.chance(0.3) {
+                            PacketKind::Writeback
+                        } else {
+                            PacketKind::BankRead
+                        };
+                        let dst = cache(&net, rng.below(64) as u16);
+                        net.inject(Packet::new(kind, core(&net, node), dst, 0, cycle));
+                    }
+                }
+            }
+            let rehomed = |n: &Network| n.fault_summary().map_or(0, |f| f.rehomed_regions);
+            let before = rehomed(&net);
+            net.step();
+            if rehomed(&net) != before {
+                // A re-homing at the start of this step rebuilt every
+                // parent's children and WB state from scratch.
+                expect = scratch_child_cong(&net)
+                    .into_iter()
+                    .map(|kids| vec![0; kids.len()])
+                    .collect();
+            }
+            let got: Vec<Vec<Cycle>> = net.routers.iter().map(|r| r.child_cong.clone()).collect();
+            assert_eq!(got, expect, "{estimator:?} cycle {cycle}");
+            nonzero += got.iter().flatten().filter(|&&c| c > 0).count();
+            for node in 0..64u16 {
+                let at = cache(&net, node);
+                for req in net.drain_delivered(at) {
+                    net.inject(Packet::new(PacketKind::DataReply, at, req.src, 0, 0));
+                }
+                net.drain_delivered(core(&net, node));
+            }
+            expect = scratch_child_cong(&net);
+        }
+        (nonzero, net)
+    }
+
+    #[test]
+    fn child_cong_upkeep_matches_the_from_scratch_rule() {
+        assert_eq!(run_child_cong_lockstep(Estimator::Simple, None).0, 0);
+        assert!(run_child_cong_lockstep(Estimator::Rca, None).0 > 0);
+        let (nonzero, net) = run_child_cong_lockstep(Estimator::WindowBased, None);
+        assert!(nonzero > 0 && net.stats().tag_acks > 100);
+        let kill = FaultPlan {
+            kill_tsb_at: Some(1200),
+            ..FaultPlan::default()
+        };
+        let (nonzero, net) = run_child_cong_lockstep(Estimator::WindowBased, Some(kill));
+        assert!(nonzero > 0);
+        assert_eq!(net.fault_summary().unwrap().rehomed_regions, 1);
     }
 }

@@ -27,7 +27,7 @@ use crate::packet::{Flit, Packet};
 use crate::parent::ChildInfo;
 use crate::workspace::{NocWorkspace, VcRef};
 use snoc_common::config::ArbitrationPolicy;
-use snoc_common::geom::{Coord, Direction};
+use snoc_common::geom::{Coord, Direction, Layer, Mesh};
 use snoc_common::ids::{BankId, PacketId};
 use snoc_common::Cycle;
 
@@ -59,43 +59,47 @@ pub struct OutRoute {
 /// configuration fits in this bound (checked at network construction).
 pub const MAX_BURST: usize = 4;
 
-/// An inline, fixed-capacity run of flits leaving in one grant — the
-/// hot path moves these by value instead of heap-allocating a `Vec`
-/// per grant per cycle.
+/// The flits leaving in one switch grant, stored compactly as the
+/// first flit plus a length and a tail bit.
+///
+/// A burst never spans packets: the grant stops after a tail flit, so
+/// its flits are consecutive flits of one packet (`seq` counts up
+/// from the first, only the first may be a head and only the last a
+/// tail). Followers carry the first flit's `ready_at`; nothing reads
+/// it, because link delivery overwrites `ready_at` and the NI's
+/// ejection buffers ignore it.
 #[derive(Debug, Clone, Copy)]
 pub struct FlitBurst {
+    first: Flit,
     len: u8,
-    flits: [Flit; MAX_BURST],
+    tail: bool,
 }
 
 impl FlitBurst {
-    /// A burst holding a single flit.
-    fn one(flit: Flit) -> Self {
-        Self {
-            len: 1,
-            flits: [flit; MAX_BURST],
-        }
+    /// The first (possibly head) flit of the burst.
+    pub fn first(&self) -> Flit {
+        self.first
     }
 
-    /// Appends a flit. Panics past [`MAX_BURST`].
-    fn push(&mut self, flit: Flit) {
-        self.flits[self.len as usize] = flit;
-        self.len += 1;
+    /// Number of flits in the burst (1..=[`MAX_BURST`]).
+    pub fn len(&self) -> usize {
+        self.len as usize
     }
-}
 
-impl std::ops::Deref for FlitBurst {
-    type Target = [Flit];
-    fn deref(&self) -> &[Flit] {
-        &self.flits[..self.len as usize]
+    /// Always `false`: a grant moves at least one flit.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
-}
 
-impl<'a> IntoIterator for &'a FlitBurst {
-    type Item = &'a Flit;
-    type IntoIter = std::slice::Iter<'a, Flit>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
+    /// The burst's flits, in departure order.
+    pub fn iter(&self) -> impl Iterator<Item = Flit> {
+        let Self { first, len, tail } = *self;
+        (0..len).map(move |k| Flit {
+            seq: first.seq + u16::from(k),
+            head: first.head && k == 0,
+            tail: tail && k + 1 == len,
+            ..first
+        })
     }
 }
 
@@ -103,15 +107,47 @@ impl<'a> IntoIterator for &'a FlitBurst {
 #[derive(Debug, Clone, Copy)]
 pub struct SwitchMove {
     /// Source input port.
-    pub in_port: usize,
+    pub in_port: u8,
     /// Source input VC.
-    pub in_vc: usize,
+    pub in_vc: u8,
     /// Output direction.
     pub out_dir: Direction,
     /// Output VC (= downstream input VC).
-    pub out_vc: usize,
+    pub out_vc: u8,
     /// The departing flits (more than one only over a wide TSB).
     pub flits: FlitBurst,
+}
+
+/// Marks a port with no link in a [`link_table`] row: a mesh edge, or
+/// the local port.
+pub const NO_LINK: u32 = u32::MAX;
+
+/// The router index at the far end of each port's link, indexed by
+/// [`Direction::port`]; [`NO_LINK`] where there is none.
+pub type Links = [u32; PORTS];
+
+/// Builds `links[router][port]` for two stacked `mesh` layers, with
+/// routers numbered as the network numbers them: the core layer's
+/// nodes first, then the cache layer's.
+pub fn link_table(mesh: Mesh) -> Vec<Links> {
+    let n = mesh.nodes_per_layer();
+    let index = |c: Coord| match c.layer {
+        Layer::Core => mesh.node(c).index(),
+        Layer::Cache => n + mesh.node(c).index(),
+    };
+    [Layer::Core, Layer::Cache]
+        .into_iter()
+        .flat_map(|layer| mesh.nodes().map(move |node| mesh.coord(node, layer)))
+        .map(|at| {
+            let mut row = [NO_LINK; PORTS];
+            for dir in Direction::ALL {
+                if let Some(c) = mesh.neighbour(at, dir) {
+                    row[dir.port()] = index(c) as u32;
+                }
+            }
+            row
+        })
+        .collect()
 }
 
 /// Per-cycle scalar parameters for a router step.
@@ -207,13 +243,11 @@ pub struct Router {
     /// (`u8::MAX` = not managed), so the hot-path child lookups are a
     /// single array access.
     child_lut: Box<[u8]>,
-    /// Persistent scratch for the switch-allocation grants of one
-    /// cycle (capacity [`PORTS`], never reallocated).
-    sa_moves: Vec<SwitchMove>,
     /// Predicted busy horizons for the children.
     pub busy: BusyTable,
-    /// Per-child congestion estimates, refreshed each cycle by the
-    /// network (parallel to `children`).
+    /// Per-child congestion estimates (parallel to `children`), kept
+    /// by the network: refreshed every cycle under RCA, and under WB
+    /// only for the children whose estimate a tag ack changed.
     pub child_cong: Vec<Cycle>,
     /// Statistics.
     pub stats: RouterStats,
@@ -254,7 +288,6 @@ impl Router {
             sa_mask: [0; PORTS],
             children,
             child_lut,
-            sa_moves: Vec::with_capacity(PORTS),
             busy,
             child_cong,
             stats: RouterStats::default(),
@@ -304,16 +337,16 @@ impl Router {
 
     /// The position of `bank` in `children`/`child_cong`, if managed.
     #[inline]
-    fn child_slot(&self, bank: BankId) -> Option<usize> {
+    pub(crate) fn child_slot(&self, bank: BankId) -> Option<usize> {
         match self.child_lut.get(bank.index()) {
             Some(&slot) if slot != u8::MAX => Some(slot as usize),
             _ => None,
         }
     }
 
-    /// Recomputes the per-child congestion estimates in place (called
-    /// by the network each cycle on parent routers; writes into the
-    /// persistent `child_cong` instead of allocating a fresh vector).
+    /// Recomputes every per-child congestion estimate in place (the
+    /// network's per-cycle RCA upkeep on parent routers; writes into
+    /// the persistent `child_cong` instead of allocating).
     pub fn refresh_child_cong_with(&mut self, mut estimate: impl FnMut(&ChildInfo) -> Cycle) {
         for i in 0..self.children.len() {
             self.child_cong[i] = estimate(&self.children[i]);
@@ -539,17 +572,18 @@ impl Router {
     /// Switch allocation: one grant per output port, at most one grant
     /// per input port, prioritized when the bank-aware policy is on.
     ///
-    /// Returns the granted moves (backed by a persistent per-router
-    /// buffer, valid until the next call); flits are already popped and
-    /// credits decremented.
+    /// Appends each grant to `moves` as `(router index, move)`; flits
+    /// are already popped and credits decremented.
     pub fn step_sa(
         &mut self,
         ws: &mut NocWorkspace,
         view: &impl NetView,
         p: StepParams,
-    ) -> &[SwitchMove] {
-        self.sa_moves.clear();
-        let mut input_port_used = [false; PORTS];
+        moves: &mut Vec<(usize, SwitchMove)>,
+    ) {
+        // Flat input bits of the ports already granted this cycle.
+        let mut used = 0u64;
+        let port_bits = (1u64 << self.vcs) - 1;
         let base = ws.router_base(self.idx);
 
         for out_dir in Direction::ALL {
@@ -557,7 +591,7 @@ impl Router {
             if p.blocked & (1 << op) != 0 {
                 continue; // faulted port: flits wait as backpressure
             }
-            let candidates = self.sa_mask[op];
+            let candidates = self.sa_mask[op] & !used;
             if candidates == 0 {
                 continue;
             }
@@ -574,8 +608,7 @@ impl Router {
                 while bits != 0 {
                     let i = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let port = i / self.vcs;
-                    if input_port_used[port] || !self.sa_candidate(ws, base, i, op, p.now) {
+                    if !self.sa_candidate(ws, base, i, op, p.now) {
                         continue;
                     }
                     if !p.policy.is_bank_aware() {
@@ -598,11 +631,9 @@ impl Router {
             };
             self.sa_rr[op] = winner as u8;
             let (port, vc) = (winner / self.vcs, winner % self.vcs);
-            input_port_used[port] = true;
-            let mv = self.grant(ws, port, vc, p);
-            self.sa_moves.push(mv);
+            used |= port_bits << (port * self.vcs);
+            moves.push((self.idx, self.grant(ws, port, vc, p)));
         }
-        &self.sa_moves
     }
 
     /// Three-level SA priority (the re-ordering of Figure 2(c)):
@@ -647,26 +678,24 @@ impl Router {
             1
         };
         debug_assert!(burst <= MAX_BURST);
-        let mut flits: Option<FlitBurst> = None;
-        let mut tail_sent = false;
-        for _ in 0..burst {
-            if tail_sent || ws.credit(olane) == 0 || ws.vc_len(lane) == 0 {
-                break;
-            }
-            if ws.front_ready_at(lane) > p.now {
-                break;
-            }
-            let flit = ws.pop_front(self.idx, lane);
-            ws.spend_credit(olane);
-            self.stats.switch_traversals += 1;
-            tail_sent = flit.tail;
-            match &mut flits {
-                None => flits = Some(FlitBurst::one(flit)),
-                Some(b) => b.push(flit),
-            }
-        }
         // SA candidacy guarantees a ready front flit with credit.
-        let flits = flits.expect("granted VC moves at least one flit");
+        let first = ws.pop_front(self.idx, lane);
+        ws.spend_credit(olane);
+        let mut len = 1;
+        let mut tail_sent = first.tail;
+        while !tail_sent
+            && len < burst
+            && ws.credit(olane) > 0
+            && ws.vc_len(lane) > 0
+            && ws.front_ready_at(lane) <= p.now
+        {
+            let flit = ws.pop_front(self.idx, lane);
+            debug_assert!(flit.packet == first.packet && flit.seq == first.seq + len as u16);
+            ws.spend_credit(olane);
+            len += 1;
+            tail_sent = flit.tail;
+        }
+        self.stats.switch_traversals += len as u64;
         if tail_sent {
             ws.clear_owner(olane);
             let flat = port * self.vcs + vc;
@@ -679,11 +708,15 @@ impl Router {
             }
         }
         SwitchMove {
-            in_port: port,
-            in_vc: vc,
+            in_port: port as u8,
+            in_vc: vc as u8,
             out_dir,
-            out_vc,
-            flits,
+            out_vc: out_vc as u8,
+            flits: FlitBurst {
+                first,
+                len: len as u8,
+                tail: tail_sent,
+            },
         }
     }
 
@@ -790,6 +823,19 @@ mod tests {
         }
     }
 
+    /// One switch-allocation pass, collecting its grants.
+    fn sa(
+        r: &mut Router,
+        ws: &mut NocWorkspace,
+        view: &impl NetView,
+        p: StepParams,
+    ) -> Vec<SwitchMove> {
+        let mut moves = Vec::new();
+        r.step_sa(ws, view, p, &mut moves);
+        assert!(moves.iter().all(|&(idx, _)| idx == r.idx()));
+        moves.into_iter().map(|(_, m)| m).collect()
+    }
+
     fn params(now: Cycle, policy: ArbitrationPolicy) -> StepParams {
         StepParams {
             now,
@@ -845,12 +891,12 @@ mod tests {
         let p = params(10, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
         assert!(r.input_vc(&ws, 0, 0).route().is_some());
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1);
         let mv = moves[0];
         assert_eq!(mv.out_dir, Direction::South);
         assert_eq!(r.buffered_flits(&ws), 0);
-        assert_eq!(r.credits(&ws, Direction::South, mv.out_vc), 4);
+        assert_eq!(r.credits(&ws, Direction::South, mv.out_vc as usize), 4);
         assert_eq!(r.stats.switch_traversals, 1);
         assert_eq!(r.stats.buffer_writes, 1);
     }
@@ -907,9 +953,9 @@ mod tests {
         r.step_va(&mut ws, &view, p);
         let vc = r.input_vc(&ws, 0, 0).route().unwrap().vc;
         let had = r.drain_credits(&mut ws, Direction::South, vc);
-        assert!(r.step_sa(&mut ws, &view, p).is_empty());
+        assert!(sa(&mut r, &mut ws, &view, p).is_empty());
         r.return_credit(&mut ws, Direction::South, vc, had);
-        assert_eq!(r.step_sa(&mut ws, &view, p).len(), 1);
+        assert_eq!(sa(&mut r, &mut ws, &view, p).len(), 1);
     }
 
     #[test]
@@ -992,9 +1038,13 @@ mod tests {
         r.step_va(&mut ws, &view, params(5, AWARE));
         // The child becomes busy after VA (prediction arrived late).
         r.busy.on_forward(BankId::new(11), 5, 9, 33);
-        let moves = r.step_sa(&mut ws, &view, params(6, AWARE));
+        let moves = sa(&mut r, &mut ws, &view, params(6, AWARE));
         assert_eq!(moves.len(), 1, "one output port contested");
-        assert_eq!(moves[0].flits[0].packet, PacketId::new(1), "response wins");
+        assert_eq!(
+            moves[0].flits.first().packet,
+            PacketId::new(1),
+            "response wins"
+        );
     }
 
     #[test]
@@ -1074,12 +1124,72 @@ mod tests {
         p.wide_down = true;
         p.tsb_extra = 1;
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].flits.len(), 2, "256b TSB carries two 128b flits");
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves[0].flits.len(), 1, "tail flit alone");
-        assert!(moves[0].flits[0].tail);
+        assert!(moves[0].flits.first().tail);
+    }
+
+    /// Width factor 2 and [`MAX_BURST`]: two packets queued back to back
+    /// in one VC leave in bursts that never cross the packet boundary,
+    /// and each burst expands to consecutive flits of one packet with
+    /// `head` only on the packet's first flit and `tail` only on its
+    /// last.
+    #[test]
+    fn wide_tsb_bursts_rebuild_consecutive_flits_of_one_packet() {
+        for (tsb_extra, want_lens) in [(1, [2, 1, 2]), (3, [3, 2, 0])] {
+            let view = TestView::new(vec![
+                (PacketKind::Writeback, Direction::Down, None),
+                (PacketKind::Writeback, Direction::Down, None),
+            ]);
+            let (mut ws, mut r) = mk_router(vec![]);
+            let local = Direction::Local.port();
+            for flit in Flit::sequence(PacketId::new(0), 3) {
+                r.accept(&mut ws, local, 0, flit);
+            }
+            for flit in Flit::sequence(PacketId::new(1), 2) {
+                r.accept(&mut ws, local, 0, flit);
+            }
+            let mut p = params(10, ArbitrationPolicy::RoundRobin);
+            p.wide_down = true;
+            p.tsb_extra = tsb_extra;
+            let mut lens = Vec::new();
+            let mut emitted = Vec::new();
+            for now in 10..20 {
+                p.now = now;
+                r.step_va(&mut ws, &view, p);
+                for m in sa(&mut r, &mut ws, &view, p) {
+                    assert_eq!(m.out_dir, Direction::Down);
+                    let flits: Vec<Flit> = m.flits.iter().collect();
+                    assert_eq!(flits.len(), m.flits.len());
+                    assert!(!m.flits.is_empty() && flits.len() <= 1 + tsb_extra);
+                    assert_eq!(flits[0].seq, m.flits.first().seq);
+                    for (k, f) in flits.iter().enumerate() {
+                        assert_eq!(f.packet, flits[0].packet, "one packet per burst");
+                        assert_eq!(f.seq, flits[0].seq + k as u16, "consecutive seq");
+                        assert!(!f.head || k == 0, "head only first");
+                        assert!(!f.tail || k + 1 == flits.len(), "tail only last");
+                    }
+                    lens.push(flits.len());
+                    emitted.extend(flits);
+                }
+            }
+            let want: Vec<usize> = want_lens.into_iter().filter(|&l| l > 0).collect();
+            assert_eq!(lens, want, "burst lengths at tsb_extra {tsb_extra}");
+            let expect: Vec<Flit> = Flit::sequence(PacketId::new(0), 3)
+                .chain(Flit::sequence(PacketId::new(1), 2))
+                .collect();
+            let key = |f: &Flit| (f.packet, f.seq, f.head, f.tail);
+            assert_eq!(
+                emitted.iter().map(key).collect::<Vec<_>>(),
+                expect.iter().map(key).collect::<Vec<_>>(),
+                "the bursts rebuild both packets exactly"
+            );
+            assert_eq!(r.buffered_flits(&ws), 0);
+            assert_eq!(r.stats.switch_traversals, 5);
+        }
     }
 
     #[test]
@@ -1093,7 +1203,7 @@ mod tests {
         p.wide_down = true; // wide TSB applies to Down only
         p.tsb_extra = 1;
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves[0].flits.len(), 1);
     }
 
@@ -1108,9 +1218,9 @@ mod tests {
         put_single(&mut r, &mut ws, 0, 1, 1);
         let p = params(10, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1, "crossbar admits one flit per input port");
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1, "the other VC wins next cycle");
     }
 
@@ -1126,7 +1236,7 @@ mod tests {
         r.step_va(&mut ws, &view, p);
         let out_vc = r.input_vc(&ws, 0, 0).route().unwrap().vc;
         assert!(ws.port(0, Direction::South.port()).owner(out_vc).is_some());
-        r.step_sa(&mut ws, &view, p);
+        sa(&mut r, &mut ws, &view, p);
         assert!(ws.port(0, Direction::South.port()).owner(out_vc).is_none());
         assert!(r.input_vc(&ws, 0, 0).route().is_none());
     }
@@ -1152,9 +1262,9 @@ mod tests {
         put_single(&mut r, &mut ws, 1, 1, 1); // read
         r.step_va(&mut ws, &view, params(5, AWARE));
         r.busy.on_forward(BankId::new(11), 5, 9, 33);
-        let moves = r.step_sa(&mut ws, &view, params(6, AWARE));
+        let moves = sa(&mut r, &mut ws, &view, params(6, AWARE));
         assert_eq!(moves.len(), 1);
-        assert_eq!(moves[0].flits[0].packet, PacketId::new(1), "read wins");
+        assert_eq!(moves[0].flits.first().packet, PacketId::new(1), "read wins");
     }
 
     #[test]
@@ -1234,13 +1344,13 @@ mod tests {
         assert!(r.input_vc(&ws, 0, 0).route().is_some(), "VA is unaffected");
         p.blocked = 1 << Direction::South.port();
         assert!(
-            r.step_sa(&mut ws, &view, p).is_empty(),
+            sa(&mut r, &mut ws, &view, p).is_empty(),
             "blocked port grants nothing"
         );
         assert_eq!(r.buffered_flits(&ws), 1);
         assert_eq!(r.credits(&ws, Direction::South, 0), 5, "no credit consumed");
         p.blocked = 0;
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].out_dir, Direction::South);
     }
@@ -1257,7 +1367,7 @@ mod tests {
         let mut p = params(10, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
         p.blocked = 1 << Direction::South.port();
-        let moves = r.step_sa(&mut ws, &view, p);
+        let moves = sa(&mut r, &mut ws, &view, p);
         assert_eq!(moves.len(), 1, "the healthy port still grants");
         assert_eq!(moves[0].out_dir, Direction::North);
     }

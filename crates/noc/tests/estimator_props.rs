@@ -8,13 +8,16 @@
 //!   for arbitrary RTTs, and the full [`WbEstimator`] agrees with an
 //!   independently written reference model over random forward/ack
 //!   sequences;
-//! * the double-buffered [`RcaState::propagate`] is equivalent to a
-//!   naive reference that clones the whole value table every cycle.
+//! * the double-buffered, link-table-driven [`RcaState::propagate`] is
+//!   equivalent to a naive reference that clones the whole value table
+//!   every cycle and asks for each neighbour through a closure, on
+//!   random wirings and on the network's own mesh link tables.
 
-use snoc_common::geom::Direction;
+use snoc_common::geom::{Coord, Direction, Layer, Mesh};
 use snoc_common::ids::BankId;
 use snoc_common::rng::SimRng;
 use snoc_noc::estimator::{stamp_elapsed, stamp_of, RcaState, WbEstimator};
+use snoc_noc::router::{link_table, Links, NO_LINK, PORTS};
 
 /// Slot order the RCA side wires propagate on (all but `Local`).
 const DIRS: [Direction; 6] = [
@@ -206,20 +209,29 @@ impl NaiveRca {
     }
 }
 
+/// Asserts that every value of `rca` equals the reference's.
+fn assert_same_values(rca: &RcaState, naive: &NaiveRca, what: &str) {
+    for (i, row) in naive.values.iter().enumerate() {
+        for (slot, dir) in DIRS.into_iter().enumerate() {
+            assert_eq!(rca.value(i, dir), row[slot], "router {i} {dir:?} ({what})");
+        }
+    }
+}
+
 #[test]
 fn rca_double_buffer_matches_the_cloning_reference() {
     for seed in 0..10u64 {
         let mut rng = SimRng::for_stream(0xCA, seed);
         let routers = 4 + rng.below(20);
 
-        // A random (not necessarily mesh-shaped) neighbour table: the
+        // A random (not necessarily mesh-shaped) link table: the
         // propagation rule must hold for any wiring, including cycles
         // and self-referential tangles.
-        let mut links = vec![[None; 6]; routers];
+        let mut links: Vec<Links> = vec![[NO_LINK; PORTS]; routers];
         for row in links.iter_mut() {
-            for slot in row.iter_mut() {
+            for dir in DIRS {
                 if rng.chance(0.7) {
-                    *slot = Some(rng.below(routers));
+                    row[dir.port()] = rng.below(routers) as u32;
                 }
             }
         }
@@ -228,20 +240,59 @@ fn rca_double_buffer_matches_the_cloning_reference() {
         let mut naive = NaiveRca::new(routers);
         for _ in 0..200 {
             let occ: Vec<u8> = (0..routers).map(|_| (rng.bits() % 256) as u8).collect();
-            let occupancy = |i: usize| occ[i];
-            let neighbour =
-                |i: usize, d: Direction| links[i][DIRS.iter().position(|&x| x == d).unwrap()];
-            rca.propagate(occupancy, neighbour);
-            naive.propagate(occupancy, neighbour);
-            for i in 0..routers {
-                for (slot, dir) in DIRS.into_iter().enumerate() {
-                    assert_eq!(
-                        rca.value(i, dir),
-                        naive.values[i][slot],
-                        "router {i} {dir:?} (seed {seed})"
-                    );
-                }
-            }
+            rca.propagate(&occ, &links);
+            naive.propagate(
+                |i| occ[i],
+                |i, d| {
+                    Some(links[i][d.port()])
+                        .filter(|&n| n != NO_LINK)
+                        .map(|n| n as usize)
+                },
+            );
+            assert_same_values(&rca, &naive, &format!("seed {seed}"));
+        }
+    }
+}
+
+#[test]
+fn rca_on_mesh_link_tables_matches_the_naive_reference() {
+    for side in [4u8, 8, 16] {
+        let mesh = Mesh::new(side, side);
+        let n = mesh.nodes_per_layer();
+        let links = link_table(mesh);
+        assert_eq!(links.len(), 2 * n);
+        // The reference walks the mesh geometry itself: router `i` is
+        // node `i % n` of the core layer for `i < n`, of the cache
+        // layer otherwise.
+        let coord = |i: usize| {
+            let layer = if i < n { Layer::Core } else { Layer::Cache };
+            let (x, y) = ((i % n) % side as usize, (i % n) / side as usize);
+            Coord::new(x as u8, y as u8, layer)
+        };
+        let index = |c: Coord| {
+            let base = if c.layer == Layer::Cache { n } else { 0 };
+            base + c.y as usize * side as usize + c.x as usize
+        };
+        for (i, row) in links.iter().enumerate() {
+            assert_eq!(index(coord(i)), i);
+            assert_eq!(row[Direction::Local.port()], NO_LINK);
+        }
+
+        let mut rng = SimRng::for_stream(0x3D, side as u64);
+        let mut rca = RcaState::new(2 * n);
+        let mut naive = NaiveRca::new(2 * n);
+        for cycle in 0..60 {
+            // Mostly light, occasionally saturated routers.
+            let occ: Vec<u8> = (0..2 * n)
+                .map(|_| match rng.below(4) {
+                    0 => 0,
+                    1 => 255,
+                    _ => (rng.bits() % 256) as u8,
+                })
+                .collect();
+            rca.propagate(&occ, &links);
+            naive.propagate(|i| occ[i], |i, d| mesh.neighbour(coord(i), d).map(index));
+            assert_same_values(&rca, &naive, &format!("{side}x{side} cycle {cycle}"));
         }
     }
 }

@@ -325,14 +325,15 @@ fn workspace_router_matches_the_naive_reference_over_mixed_traffic() {
         // Both routers step VA then SA within the cycle.
         let p = params(cycle, ArbitrationPolicy::RoundRobin);
         r.step_va(&mut ws, &view, p);
-        let moves: Vec<RefMove> = r
-            .step_sa(&mut ws, &view, p)
+        let mut granted = Vec::new();
+        r.step_sa(&mut ws, &view, p, &mut granted);
+        let moves: Vec<RefMove> = granted
             .iter()
-            .map(|m| RefMove {
-                in_port: m.in_port,
-                in_vc: m.in_vc,
+            .map(|(_, m)| RefMove {
+                in_port: m.in_port as usize,
+                in_vc: m.in_vc as usize,
                 out_dir: m.out_dir,
-                out_vc: m.out_vc,
+                out_vc: m.out_vc as usize,
                 flits: m
                     .flits
                     .iter()
@@ -455,23 +456,29 @@ fn allocation_sweep_never_double_grants_and_credits_stay_bounded() {
 
         let p = params(cycle, policy);
         r.step_va(&mut ws, &view, p);
-        let moves = r.step_sa(&mut ws, &view, p);
+        let mut moves = Vec::new();
+        r.step_sa(&mut ws, &view, p, &mut moves);
+        let moves: Vec<_> = moves.into_iter().map(|(_, m)| m).collect();
         total_moves += moves.len();
 
         // SA properties: one grant per output port, one per input port.
         let mut out_seen = [false; PORTS];
         let mut in_seen = [false; PORTS];
-        for m in moves {
+        for m in &moves {
+            let in_port = m.in_port as usize;
             assert!(!out_seen[m.out_dir.port()], "output port double-granted");
-            assert!(!in_seen[m.in_port], "input port double-granted");
+            assert!(!in_seen[in_port], "input port double-granted");
             out_seen[m.out_dir.port()] = true;
-            in_seen[m.in_port] = true;
+            in_seen[in_port] = true;
             assert!(!m.flits.is_empty());
         }
 
         let scheduled: Vec<(usize, usize, usize)> = moves
             .iter()
-            .map(|m| (m.in_port * VCS + m.in_vc, m.out_dir.port(), m.out_vc))
+            .map(|m| {
+                let in_flat = m.in_port as usize * VCS + m.in_vc as usize;
+                (in_flat, m.out_dir.port(), m.out_vc as usize)
+            })
             .collect();
         for (in_flat, dp, ov) in scheduled {
             upstream[in_flat] += 1;
